@@ -9,6 +9,7 @@ package mosaicsim
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -395,8 +396,9 @@ void kernel(double* A, double* out, long n) {
 // tile-stepping parallelism; the sequential/sharded pair below quantifies
 // the parallel Interleaver's throughput win on a wide system (results are
 // bit-identical either way, per TestParallelSteppingDeterminism and the
-// golden-matrix worker legs). The win scales with host cores: on a
-// single-core host the sharded leg only measures the coordination overhead.
+// golden-matrix worker legs). The sharded leg runs at shardedWorkers(8).
+// The win scales with host cores: on a single-core host the sharded leg
+// only measures the coordination overhead.
 func benchmarkStepWorkers(b *testing.B, workers int) {
 	b.Helper()
 	w := workloads.SGEMM()
@@ -418,6 +420,10 @@ func benchmarkStepWorkers(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		sys.StepWorkers = workers
+		if workers > 1 {
+			sys.StepWorkers = shardedWorkers(workers)
+			soc.PinShardedForTest(sys)
+		}
 		if err := sys.Run(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
@@ -429,6 +435,15 @@ func benchmarkStepWorkers(b *testing.B, workers int) {
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
+// shardedWorkers is the worker count the sharded benchmark legs run at: the
+// engine's own clamp, min(workers, GOMAXPROCS), but at least two so the leg
+// shards even on a one-processor host. The legs pin sharded stepping (the
+// engine would otherwise step inline wherever that measures faster), so
+// they time the sharded mode exactly as a run on this host would shard.
+func shardedWorkers(workers int) int {
+	return max(2, min(workers, runtime.GOMAXPROCS(0)))
+}
+
 func BenchmarkStepSequential(b *testing.B) { benchmarkStepWorkers(b, 1) }
 func BenchmarkStepSharded8(b *testing.B)   { benchmarkStepWorkers(b, 8) }
 
@@ -437,8 +452,9 @@ func BenchmarkStepSharded8(b *testing.B)   { benchmarkStepWorkers(b, 8) }
 // the sequential fallback; with invalidations staged and epoch-committed
 // they shard like any other topology (bit-identical results, per
 // TestCoherentSystemStepsParallel and the cfg/coherence golden worker legs).
-// As with the pair above, the win scales with host cores: on a single-core
-// host the sharded leg only measures the coordination overhead.
+// As with the pair above, the sharded leg runs at shardedWorkers(8) and the
+// win scales with host cores: on a single-core host the sharded leg only
+// measures the coordination overhead.
 func benchmarkStepCoherent(b *testing.B, workers int) {
 	b.Helper()
 	w := workloads.SGEMM()
@@ -462,6 +478,10 @@ func benchmarkStepCoherent(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		sys.StepWorkers = workers
+		if workers > 1 {
+			sys.StepWorkers = shardedWorkers(workers)
+			soc.PinShardedForTest(sys)
+		}
 		if err := sys.Run(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}

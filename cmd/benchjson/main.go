@@ -9,7 +9,10 @@
 // It reads benchmark output on stdin (or -in file) and writes a JSON document
 // recording, per benchmark: iterations, ns/op, B/op, allocs/op, and any
 // custom metrics (e.g. the experiment headline values the harness reports
-// with b.ReportMetric).
+// with b.ReportMetric). The report also records the host the numbers came
+// from: its CPU count, the GOMAXPROCS the benchmarks ran at (the testing
+// package's "-N" name suffix, absent at 1), and the `cpu:` line of the go
+// test output.
 //
 // Compare mode diffs two reports instead of converting:
 //
@@ -20,7 +23,9 @@
 // benchmark in -old, and exits 1 if ns/op grew by more than -max-regress
 // (default 0.20 = 20%) or a reported "speedup" metric shrank by more than the
 // same fraction. GOMAXPROCS name suffixes ("-8") are stripped before matching
-// so reports from hosts with different core counts compare.
+// so reports from hosts with different core counts compare; the two hosts'
+// core counts are printed, and a mismatch is flagged as a note (the
+// thresholds stay the same).
 package main
 
 import (
@@ -47,12 +52,16 @@ type Result struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the emitted document.
+// Report is the emitted document. Host fields are zero in reports written
+// before they were recorded.
 type Report struct {
 	Date       string   `json:"date"`
 	GoVersion  string   `json:"go_version"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -85,25 +94,14 @@ func main() {
 		r = f
 	}
 
-	rep := Report{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if res, ok := parseLine(sc.Text()); ok {
-			rep.Benchmarks = append(rep.Benchmarks, res)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(r)
+	if err != nil {
 		fatal(err)
 	}
-	if len(rep.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in input"))
-	}
+	rep.Date = time.Now().UTC().Format(time.RFC3339)
+	rep.GoVersion = runtime.Version()
+	rep.GOOS, rep.GOARCH = runtime.GOOS, runtime.GOARCH
+	rep.NumCPU = runtime.NumCPU()
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -119,6 +117,36 @@ func main() {
 	if err := enc.Encode(rep); err != nil {
 		fatal(err)
 	}
+}
+
+// parse reads `go test -bench` output: the benchmark lines, the `cpu:`
+// header line, and the GOMAXPROCS the benchmarks ran at, read from the
+// name suffix the testing package appends when it is above 1.
+func parse(r io.Reader) (Report, error) {
+	var rep Report
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			rep.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		if res, ok := parseLine(line); ok {
+			rep.Benchmarks = append(rep.Benchmarks, res)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return rep, err
+	}
+	if len(rep.Benchmarks) == 0 {
+		return rep, fmt.Errorf("no benchmark lines found in input")
+	}
+	rep.GOMAXPROCS = 1
+	if name := rep.Benchmarks[0].Name; baseName(name) != name {
+		rep.GOMAXPROCS, _ = strconv.Atoi(name[len(baseName(name))+1:])
+	}
+	return rep, nil
 }
 
 // parseLine decodes one `Benchmark... <iters> <value> <unit> ...` line. The
@@ -199,6 +227,10 @@ func compare(oldPath, newPath, match string, maxRegress float64) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(os.Stderr, "benchjson: hosts: old %s, new %s\n", hostDesc(oldRep), hostDesc(newRep))
+	if oldRep.NumCPU != newRep.NumCPU || oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
+		fmt.Fprintln(os.Stderr, "benchjson: note: the reports come from hosts with different core counts; parallel benchmarks compare across them only roughly")
+	}
 	baseline := map[string]Result{}
 	for _, r := range oldRep.Benchmarks {
 		baseline[baseName(r.Name)] = r
@@ -242,6 +274,18 @@ func compare(oldPath, newPath, match string, maxRegress float64) error {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within the %.0f%% regression budget\n", checked, 100*maxRegress)
 	return nil
+}
+
+// hostDesc renders a report's host fields for compare mode.
+func hostDesc(r Report) string {
+	if r.NumCPU == 0 {
+		return "core count not recorded"
+	}
+	desc := fmt.Sprintf("%d CPUs, GOMAXPROCS %d", r.NumCPU, r.GOMAXPROCS)
+	if r.CPU != "" {
+		desc += " (" + r.CPU + ")"
+	}
+	return desc
 }
 
 func fatal(err error) {

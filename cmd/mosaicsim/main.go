@@ -75,7 +75,7 @@ func run() int {
 	noskip := flag.Bool("noskip", false, "disable event-horizon cycle skipping (naive cycle-by-cycle loop)")
 	replay := flag.Bool("replay", true, "answer timing-only re-simulations from recorded schedules (bit-identical results)")
 	noreplay := flag.Bool("noreplay", false, "disable schedule-capture replay (overrides -replay)")
-	stepWorkers := flag.Int("step-workers", 0, "shard each simulation's tile stepping across N goroutines (bit-identical results; 0/1 = sequential)")
+	stepWorkers := flag.Int("step-workers", 0, "let each simulation shard tile stepping across up to N goroutines, clamped to GOMAXPROCS and used only while faster than inline stepping (bit-identical results; 0/1 = sequential)")
 	optLevel := flag.String("O", "", "compiler optimization level: O0, O1, O2 (default O0)")
 	passes := flag.String("passes", "", "explicit comma-separated pass list (overrides -O): constfold,dce,cse,strength,unroll")
 	unroll := flag.Int("unroll", 0, "loop-unroll factor when the unroll pass runs (0 = default)")
@@ -361,7 +361,13 @@ func printResult(out io.Writer, r soc.Result, sys *soc.System, rp sim.ReplayOutc
 	tbl.Row("skip fraction", stats.SkipFraction(stepped, skipped))
 	if sys != nil {
 		if ok, reason := sys.ParallelEligibility(); ok {
-			tbl.Row("parallel stepping", fmt.Sprintf("%d workers", sys.StepWorkers))
+			tbl.Row("parallel stepping", fmt.Sprintf("%d of %d requested workers, sharded %.1f%% of stepped cycles",
+				sys.StepWorkersUsed, sys.StepWorkers, 100*sys.ShardedShare()))
+			probe := "none (the run ended inside the first inline hold)"
+			if sys.InlineNsPerCycle > 0 {
+				probe = fmt.Sprintf("inline %.0f, sharded %.0f", sys.InlineNsPerCycle, sys.ShardedNsPerCycle)
+			}
+			tbl.Row("  last probe (ns/stepped cycle)", probe)
 		} else {
 			tbl.Row("parallel stepping", "sequential ("+reason+")")
 		}

@@ -218,11 +218,14 @@ type SystemConfig struct {
 	Tiles []TileDef  `json:"tiles,omitempty"`
 	Mem   MemConfig  `json:"mem"`
 	NoC   *NoCConfig `json:"noc,omitempty"`
-	// StepWorkers shards tile stepping across that many goroutines per
-	// simulation, joined at every cycle boundary; results are bit-identical
-	// to sequential stepping for every topology — directory-coherent
-	// hierarchies and zero-latency fabrics included (their cross-core
-	// effects are epoch-ordered; DESIGN.md §5e). 0 or 1 steps sequentially.
+	// StepWorkers is the budget of goroutines tile stepping may be sharded
+	// across per simulation, joined at every cycle boundary. It is a budget
+	// the engine may leave unused: it clamps the count to min(StepWorkers,
+	// GOMAXPROCS, tiles) and shards only while it measures sharding faster
+	// than inline stepping. Results are bit-identical to sequential stepping
+	// for every topology — directory-coherent hierarchies and zero-latency
+	// fabrics included (their cross-core effects are epoch-ordered;
+	// DESIGN.md §5e). 0 or 1 steps sequentially.
 	StepWorkers int `json:"step_workers,omitempty"`
 	// FabricLatency overrides the base inter-tile transfer latency in
 	// cycles (NoC hop costs add on top). nil keeps the default of 1; 0

@@ -53,8 +53,9 @@ type Runner struct {
 	// process-global parallel.SetLimit budget, 1 forces serial execution,
 	// n > 1 requests a dedicated pool of n workers.
 	Jobs int
-	// StepWorkers shards tile stepping inside each simulation leg
-	// (bit-identical to sequential stepping, so regenerated tables and
+	// StepWorkers is the tile-stepping worker budget inside each
+	// simulation leg, which the leg's engine may leave unused (results are
+	// bit-identical to sequential stepping, so regenerated tables and
 	// figures are unaffected). Legs that set their own value keep it.
 	StepWorkers int
 	// Opt recompiles every workload leg under this optimization config

@@ -257,9 +257,10 @@ type Options struct {
 	// Runner executes one job and returns its JSON report. Nil selects the
 	// sim-backed runner; tests substitute a controllable stub.
 	Runner Runner
-	// StepWorkers is the default per-simulation tile-stepping parallelism
-	// applied to specs that leave step_workers unset (0 or 1 = sequential).
-	// Results are bit-identical either way.
+	// StepWorkers is the default per-simulation tile-stepping worker budget
+	// applied to specs that leave step_workers unset (0 or 1 = sequential);
+	// each simulation's engine may leave it unused. Results are
+	// bit-identical either way.
 	StepWorkers int
 	// Replay is the default for specs that leave replay unset: answer
 	// timing-only re-submissions analytically from recorded schedules

@@ -59,9 +59,11 @@ type Spec struct {
 	// (bit-identical to full simulation). Unset inherits the daemon's
 	// default (Options.Replay).
 	Replay *bool `json:"replay,omitempty"`
-	// StepWorkers shards tile stepping across that many goroutines
-	// (bit-identical to sequential; 1 forces sequential). 0 inherits the
-	// daemon's default (Options.StepWorkers).
+	// StepWorkers is the budget of goroutines tile stepping may be sharded
+	// across; the engine may leave it unused (it clamps to GOMAXPROCS and
+	// the tile count, and shards only while measured faster than inline
+	// stepping). Results are bit-identical to sequential; 1 forces
+	// sequential. 0 inherits the daemon's default (Options.StepWorkers).
 	StepWorkers int `json:"step_workers,omitempty"`
 	// Timeout is an optional per-job wall-clock budget as a Go duration
 	// string ("30s"); the manager's per-job timeout still caps it.

@@ -101,9 +101,11 @@ type Options struct {
 	Limit int64
 	// DisableCycleSkipping forces the naive cycle-by-cycle Interleaver loop.
 	DisableCycleSkipping bool
-	// StepWorkers, when positive, overrides the config's step_workers: tile
-	// stepping is sharded across that many goroutines with results
-	// bit-identical to sequential stepping (1 forces sequential).
+	// StepWorkers, when positive, overrides the config's step_workers: the
+	// budget of goroutines tile stepping may be sharded across, which the
+	// engine may leave unused (it clamps to GOMAXPROCS and the tile count,
+	// and shards only while measured faster than inline stepping). Results
+	// are bit-identical to sequential stepping (1 forces sequential).
 	StepWorkers int
 	// Replay enables schedule-capture timing replay (internal/replay): a
 	// full run records its event schedule into the cache, and a later Run

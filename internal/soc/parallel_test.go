@@ -8,8 +8,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mosaicsim/internal/config"
 	"mosaicsim/internal/interp"
@@ -253,6 +256,7 @@ func TestParallelSteppingDeterminism(t *testing.T) {
 					sys := b.build(t)
 					sys.DisableCycleSkipping = noskip
 					sys.StepWorkers = workers
+					PinShardedForTest(sys)
 					if err := sys.Run(context.Background(), 0); err != nil {
 						t.Fatalf("run (noskip=%v, workers=%d): %v", noskip, workers, err)
 					}
@@ -312,6 +316,7 @@ func TestCoherentSystemStepsParallel(t *testing.T) {
 
 	par := build(t)
 	par.StepWorkers = 8
+	PinShardedForTest(par)
 	if ok, reason := par.ParallelEligibility(); !ok {
 		t.Errorf("coherent system reported ineligible: %s", reason)
 	}
@@ -327,6 +332,219 @@ func TestCoherentSystemStepsParallel(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("coherent parallel run diverged from sequential:\nseq: %s\npar: %s", want, got)
+	}
+}
+
+// sharedAccel is an accelerator whose latency grows with the invocations
+// already outstanding, so a Result depends on the exact order in which tiles
+// invoke and the manager releases it.
+type sharedAccel struct{ base int64 }
+
+func (a sharedAccel) Invoke(params []int64, concurrent int) (AccelResult, error) {
+	return AccelResult{Cycles: a.base * int64(1+concurrent), Bytes: 64, EnergyPJ: 1}, nil
+}
+
+// accelLoopSrc has every tile interleave private memory work with
+// accelerator invocations, so invocations overlap and contend.
+const accelLoopSrc = `
+void kernel(double* A, long n) {
+  long tid = tile_id();
+  for (long i = 0; i < n; i++) {
+    A[tid * 64 + i] = A[tid * 64 + i] + 1.0;
+    acc_shared(A, i);
+  }
+}
+`
+
+// TestForcedModeSwitchMatchesSequential drives the engine through mode
+// switches every k stepped cycles — the switch path the probe/hold policy
+// takes, exercised far more often — and asserts byte-identical Results
+// against inline stepping, with skipping on and off, over the systems whose
+// cross-tile state the switch must hand over exactly: staged coherence, a
+// zero-latency producer/consumer pair, barriers, and a shared accelerator.
+func TestForcedModeSwitchMatchesSequential(t *testing.T) {
+	inorder := func(name string, cores int) *config.SystemConfig {
+		return &config.SystemConfig{
+			Name:  name,
+			Cores: []config.CoreSpec{{Core: config.InOrderCore(), Count: cores}},
+			Mem:   config.TableIIMem(),
+		}
+	}
+	builds := []struct {
+		name  string
+		build func(t *testing.T) *System
+	}{
+		{"coherent-directory", func(t *testing.T) *System {
+			g, tr := traceSPMD(t, spmdVecAdd, 4, vecSetup(512), nil)
+			sc := inorder("switch-coh", 4)
+			sc.Mem.Directory = true
+			sys, err := NewSPMD(sc, g, tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}},
+		{"zero-latency-dae", func(t *testing.T) *System {
+			g, tr := traceSPMD(t, pingPongSrc, 2, func(m *interp.Memory) []uint64 {
+				vals := make([]float64, 200)
+				for i := range vals {
+					vals[i] = float64(i)
+				}
+				return []uint64{m.AllocF64(vals), m.Alloc(8, 8), 200}
+			}, nil)
+			sc := inorder("switch-zerolat", 2)
+			sc.Cores[0].Core.MaxMessages = 4
+			zero := int64(0)
+			sc.FabricLatency = &zero
+			sys, err := NewSPMD(sc, g, tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}},
+		{"barriers", func(t *testing.T) *System {
+			g, tr := traceSPMD(t, barrierStepSrc, 4, func(m *interp.Memory) []uint64 {
+				return []uint64{m.AllocF64(make([]float64, 64)), 30}
+			}, nil)
+			sys, err := NewSPMD(inorder("switch-barrier", 4), g, tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}},
+		{"accelerator", func(t *testing.T) *System {
+			g, tr := traceSPMD(t, accelLoopSrc, 3, func(m *interp.Memory) []uint64 {
+				return []uint64{m.AllocF64(make([]float64, 3*64)), 24}
+			}, map[string]interp.AccFunc{"acc_shared": func(m *interp.Memory, p []int64) {}})
+			sys, err := NewSPMD(&config.SystemConfig{
+				Name:  "switch-accel",
+				Cores: []config.CoreSpec{{Core: config.OutOfOrderCore(), Count: 3}},
+				Mem:   config.TableIIMem(),
+			}, g, tr, map[string]AccelModel{"acc_shared": sharedAccel{base: 40}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}},
+	}
+	for _, b := range builds {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			t.Parallel()
+			for _, noskip := range []bool{true, false} {
+				seq := b.build(t)
+				seq.DisableCycleSkipping = noskip
+				if err := seq.Run(context.Background(), 0); err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(seq.Result())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int64{1, 3, 64} {
+					t.Run(fmt.Sprintf("noskip=%v/every=%d", noskip, k), func(t *testing.T) {
+						sys := b.build(t)
+						sys.DisableCycleSkipping = noskip
+						sys.StepWorkers = 3
+						sys.pin = stepPin{mode: pinSwitch, every: k}
+						if err := sys.Run(context.Background(), 0); err != nil {
+							t.Fatal(err)
+						}
+						if sys.ParallelPhases == 0 || sys.ParallelPhases == sys.SteppedCycles {
+							t.Fatalf("no inline/sharded mix: %d of %d stepped cycles sharded", sys.ParallelPhases, sys.SteppedCycles)
+						}
+						got, err := json.Marshal(sys.Result())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(want, got) {
+							t.Errorf("switching every %d stepped cycles diverged from inline stepping:\nseq: %s\ngot: %s", k, want, got)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestStepWorkersClampedToGOMAXPROCS: a worker budget beyond the processors
+// only buys goroutines that spin, so the effective worker count is clamped to
+// GOMAXPROCS — with one processor, StepWorkers=8 must step inline without
+// starting a single helper goroutine, and say why.
+func TestStepWorkersClampedToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, tr := traceSPMD(t, spmdVecAdd, 4, vecSetup(2048), nil)
+	sys, err := NewSPMD(&config.SystemConfig{
+		Name:  "clamp",
+		Cores: []config.CoreSpec{{Core: config.InOrderCore(), Count: 4}},
+		Mem:   config.TableIIMem(),
+	}, g, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.StepWorkers = 8
+	if ok, reason := sys.ParallelEligibility(); ok || !strings.Contains(reason, "GOMAXPROCS=1") {
+		t.Errorf("ParallelEligibility() = %v, %q; want ineligible naming GOMAXPROCS=1", ok, reason)
+	}
+	before := runtime.NumGoroutine()
+	peak, polls := 0, 0
+	sys.OnProgress = func(ProgressUpdate) {
+		peak = max(peak, runtime.NumGoroutine())
+		polls++
+	}
+	if err := sys.Run(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if polls < 2 {
+		t.Fatalf("run too short to observe: %d progress polls", polls)
+	}
+	if peak > before {
+		t.Errorf("goroutines rose from %d to %d during the run: helpers started despite GOMAXPROCS=1", before, peak)
+	}
+	if sys.StepWorkersUsed != 1 || sys.ParallelPhases != 0 {
+		t.Errorf("StepWorkersUsed = %d, ParallelPhases = %d; want 1 and 0", sys.StepWorkersUsed, sys.ParallelPhases)
+	}
+}
+
+// TestAutoModeProbesBothModes: with more than one effective worker the
+// engine steps inline through its first hold, then times both modes before
+// holding one, and reports what it measured.
+func TestAutoModeProbesBothModes(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2 for a second worker")
+	}
+	g, tr := traceSPMD(t, spmdVecAdd, 2, vecSetup(1<<14), nil)
+	sys, err := NewSPMD(&config.SystemConfig{
+		Name:  "auto",
+		Cores: []config.CoreSpec{{Core: config.InOrderCore(), Count: 2}},
+		Mem:   config.TableIIMem(),
+	}, g, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.StepWorkers = 2
+	sys.DisableCycleSkipping = true // every cycle is a stepped cycle
+	if err := sys.Run(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if first := int64(probeWindow * (holdWindows + probeWindows)); sys.SteppedCycles < first {
+		t.Fatalf("run too short for the first probe: %d stepped cycles, want >= %d", sys.SteppedCycles, first)
+	}
+	if sys.StepWorkersUsed != 2 || sys.InlineNsPerCycle <= 0 || sys.ShardedNsPerCycle <= 0 {
+		t.Errorf("StepWorkersUsed = %d, probe inline %g ns, sharded %g ns; want 2 workers and both modes timed",
+			sys.StepWorkersUsed, sys.InlineNsPerCycle, sys.ShardedNsPerCycle)
+	}
+	if sys.ParallelPhases < probeWindow*probeWindows/2 {
+		t.Errorf("ParallelPhases = %d, want at least the probe's sharded windows", sys.ParallelPhases)
+	}
+}
+
+// TestTileSlotFillsOneCacheLine: per-tile stepping state is written by
+// whichever worker owns the tile every cycle; one slot per 64-byte line keeps
+// workers off each other's lines.
+func TestTileSlotFillsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(tileSlot{}); n != 64 {
+		t.Fatalf("tileSlot is %d bytes, want 64", n)
 	}
 }
 

@@ -72,7 +72,7 @@ func (s *System) SetRecorder(r ScheduleRecorder) {
 // a gated mispredict launch, a future fabric arrival — makes the window's end
 // multi-causal and the certificate is simply not issued (replay then falls
 // back to full simulation for deltas that would move this completion).
-func (s *System) maybeCertify(now, target int64, stallDelta []StallSample, thrTick int64, uniformClocks bool) {
+func (s *System) maybeCertify(now, target int64, slots []tileSlot, thrTick int64, uniformClocks bool) {
 	if !uniformClocks || thrTick != 0 || s.accel == nil || !s.accel.soleEventAt(target) {
 		return
 	}
@@ -102,7 +102,7 @@ func (s *System) maybeCertify(now, target int64, stallDelta []StallSample, thrTi
 		// the recorded per-cycle increments match what an extended (or
 		// shortened) window would actually accrue.
 		if p := s.tilePos[c.ID]; !s.tiles[p].Done() {
-			stalls[i] = stallDelta[p]
+			stalls[i] = slots[p].delta
 		}
 	}
 	s.recorder.RecordQuietJump(now, target, stalls)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"mosaicsim/internal/config"
@@ -557,20 +558,32 @@ type System struct {
 	// DisableCycleSkipping forces the naive cycle-by-cycle loop (the
 	// equivalence-test reference and the -noskip flag).
 	DisableCycleSkipping bool
-	// StepWorkers shards tile stepping — and the private slice of the
-	// hierarchy tick — across up to this many goroutines within each
-	// Interleaver iteration (0 or 1 = sequential). Results are bit-identical
-	// to sequential stepping at any worker count for every topology,
-	// including directory-coherent hierarchies (invalidations are staged and
-	// committed in tile order at the serial join) and zero-latency fabrics
-	// (same-cycle delivery follows the epoch visibility rules); see
-	// DESIGN.md §5e.
+	// StepWorkers is the budget of goroutines tile stepping — and the
+	// private slice of the hierarchy tick — may be sharded across within
+	// each Interleaver iteration (0 or 1 = inline, sequential stepping).
+	// It is a budget the engine may leave unused: the effective count is
+	// clamped to min(StepWorkers, GOMAXPROCS, tiles), and the engine shards
+	// only while its probe windows measure sharding faster than inline
+	// stepping. Results are bit-identical at any worker count and any mode
+	// sequence for every topology, including directory-coherent
+	// hierarchies (invalidations are staged and committed in tile order at
+	// the serial join) and zero-latency fabrics (same-cycle delivery follows
+	// the epoch visibility rules); see DESIGN.md §5e.
 	StepWorkers int
-	// ParallelPhases counts Interleaver iterations the parallel stepper
-	// executed (0 when stepping sequentially). It is an observability hook
-	// for tests and benchmarks, deliberately outside Result so parallel and
-	// sequential runs stay byte-identical.
+	// ParallelPhases counts Interleaver iterations the engine stepped
+	// sharded (0 when every cycle stepped inline). It and the fields below
+	// are observability hooks for tests, benchmarks and reports,
+	// deliberately outside Result so the stepping mode never shows in it.
 	ParallelPhases int64
+	// StepWorkersUsed is the last Run's effective worker count (1 = inline
+	// throughout, no helper goroutines).
+	StepWorkersUsed int
+	// InlineNsPerCycle and ShardedNsPerCycle are the host nanoseconds per
+	// stepped cycle the last Run's most recent probe windows measured in
+	// each mode (0 when that mode was never probed).
+	InlineNsPerCycle, ShardedNsPerCycle float64
+	// pin overrides the engine's measured mode choice (PinShardedForTest).
+	pin stepPin
 	// recorder, when non-nil, observes accelerator invocations and certified
 	// quiet windows during Run so a replay engine can re-evaluate the
 	// recorded schedule under new timing parameters (see SetRecorder).
@@ -597,19 +610,33 @@ type ProgressUpdate struct {
 	Final bool
 }
 
-// ParallelEligibility reports whether Run will shard stepping across
+// ParallelEligibility reports whether Run may shard stepping across
 // workers, with a human-readable reason either way. Since the epoch-ordered
 // coherence commit and same-cycle delivery rules (DESIGN.md §5e), every
-// topology is eligible — the only sequential fallbacks left are an explicit
-// worker budget <= 1 and a system too small to shard.
+// topology is eligible; what remains is the effective worker count,
+// min(StepWorkers, GOMAXPROCS, tiles). An eligible Run still shards only
+// while its probe windows measure sharding faster than inline stepping.
 func (s *System) ParallelEligibility() (bool, string) {
-	if s.StepWorkers <= 1 {
+	switch nw := s.stepWorkers(); {
+	case s.StepWorkers <= 1:
 		return false, "step-workers <= 1 requests sequential stepping"
-	}
-	if len(s.tiles) <= 1 {
+	case len(s.tiles) <= 1:
 		return false, "fewer than two tiles to shard"
+	case nw <= 1:
+		return false, fmt.Sprintf("GOMAXPROCS=%d leaves no processor for a second worker", runtime.GOMAXPROCS(0))
+	default:
+		return true, fmt.Sprintf("up to %d workers (min of step-workers %d, GOMAXPROCS %d, tiles %d), sharded while measured faster than inline",
+			nw, s.StepWorkers, runtime.GOMAXPROCS(0), len(s.tiles))
 	}
-	return true, "sharded stepping; coherence and same-cycle delivery are epoch-ordered"
+}
+
+// ShardedShare is the fraction of stepped cycles the engine stepped sharded
+// (ParallelPhases / SteppedCycles).
+func (s *System) ShardedShare() float64 {
+	if s.SteppedCycles == 0 {
+		return 0
+	}
+	return float64(s.ParallelPhases) / float64(s.SteppedCycles)
 }
 
 // finalProgress emits the terminal progress update on a Run exit path.
@@ -891,10 +918,11 @@ func (s *System) cancelErr(ctx context.Context, cause error, cycle, effLimit int
 // advancing the per-tile clock accumulators arithmetically and replaying the
 // per-cycle stall counters so results are bit-identical to the naive loop.
 //
-// With StepWorkers > 1 the per-iteration tile loop is sharded across a
-// worker pool and joined at the per-cycle boundary where the hierarchy ticks
-// and the skipper evaluates freeze confirmation; the fabric's epoch rules
-// keep results bit-identical to sequential stepping (DESIGN.md §5e).
+// The step engine steps the tiles and ticks the private cache stacks, inline
+// on this goroutine or — with StepWorkers > 1, while measured faster —
+// sharded across workers joined at the per-cycle boundary where the
+// hierarchy ticks and the skipper evaluates freeze confirmation; the epoch
+// rules keep results bit-identical either way (DESIGN.md §5e).
 func (s *System) Run(ctx context.Context, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -907,44 +935,22 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		effLimit = DefaultCycleLimit
 	}
 	ctxCountdown := int64(ctxCheckInterval)
-	nt := len(s.tiles)
 	var maxClock int64
+	uniformClocks := true
 	for _, t := range s.tiles {
 		if m := int64(t.ClockMHz()); m > maxClock {
 			maxClock = m
 		}
-	}
-	strides := make([]int64, nt)
-	accum := make([]int64, nt)
-	uniformClocks := true
-	for _, t := range s.tiles {
 		if t.ClockMHz() != s.tiles[0].ClockMHz() {
 			uniformClocks = false
-			break
 		}
 	}
-	// Event-horizon bookkeeping: idleOK[i] records that tile i stepped
-	// without making progress since the last progress event anywhere, and
-	// stallDelta holds the stall-sample increments of that frozen step
-	// (constant while the state stays frozen).
-	idleOK := make([]bool, nt)
-	stallDelta := make([]StallSample, nt)
-	for i, t := range s.tiles {
-		strides[i] = int64(t.ClockMHz())
-		accum[i] = maxClock // step every tile on cycle 0
+	e := s.startEngine(maxClock)
+	defer e.stop()
+	last := uint64(s.Hier.Progress())
+	for _, t := range s.tiles {
+		last += t.Progress()
 	}
-	eng := s.startEngine(accum, strides, idleOK, stallDelta, maxClock)
-	if eng != nil {
-		defer eng.stop()
-	}
-	progress := func() uint64 {
-		p := uint64(s.Hier.Progress())
-		for _, t := range s.tiles {
-			p += t.Progress()
-		}
-		return p
-	}
-	last := progress()
 	for cycle := int64(0); cycle <= effLimit; cycle++ {
 		// Interleave-boundary cancellation poll: every ctxCheckInterval
 		// iterations (stepped or jumped), not every simulated cycle.
@@ -958,42 +964,9 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 				s.OnProgress(ProgressUpdate{Cycle: cycle, Stepped: s.SteppedCycles, Skipped: s.SkippedCycles})
 			}
 		}
-		anyActive := false
-		if eng != nil {
-			anyActive = eng.step(cycle)
-			s.Fabric.commitEpoch()
-			s.Hier.CommitStaged()
-		} else {
-			for i, t := range s.tiles {
-				accum[i] += strides[i]
-				if accum[i] >= maxClock {
-					accum[i] -= maxClock
-					pp := t.Progress()
-					before := t.SnapshotStalls()
-					if t.Step(cycle) {
-						anyActive = true
-					}
-					if t.Progress() == pp {
-						// Frozen step: its stall increments repeat verbatim
-						// until something, somewhere, makes progress.
-						stallDelta[i] = t.SnapshotStalls().Sub(before)
-						idleOK[i] = true
-					}
-				} else if !t.Done() {
-					anyActive = true
-				}
-			}
-		}
+		anyActive := e.step(cycle)
 		thr0 := s.Hier.ThrottleStalls()
-		if eng != nil {
-			// Serial slice first (shared completions fill into private
-			// caches and core completion queues), then the sharded private
-			// ticks with their per-worker progress/freeze reduction.
-			s.Hier.TickShared(cycle)
-			eng.tick(cycle)
-		} else {
-			s.Hier.Tick(cycle)
-		}
+		e.tick(cycle)
 		thrTick := s.Hier.ThrottleStalls() - thr0
 		s.Cycles = cycle
 		s.SteppedCycles++
@@ -1004,33 +977,13 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 		if s.DisableCycleSkipping {
 			continue
 		}
-		cur := last
-		if eng != nil {
-			cur = eng.tickProgress + uint64(s.Hier.ProgressShared())
-		} else {
-			cur = progress()
-		}
-		if cur != last {
-			// Progress invalidates every frozen-step confirmation: a tile
-			// that idled against the old state may act on the new one.
-			last = cur
-			for i := range idleOK {
-				idleOK[i] = false
-			}
+		if e.tickProgress != last {
+			// Progress invalidates every frozen-step confirmation.
+			last = e.tickProgress
+			e.clearIdle()
 			continue
 		}
-		confirmed := true
-		if eng != nil {
-			confirmed = eng.tickConfirmed
-		} else {
-			for i, t := range s.tiles {
-				if !t.Done() && !idleOK[i] {
-					confirmed = false
-					break
-				}
-			}
-		}
-		if !confirmed {
+		if !e.tickConfirmed {
 			continue
 		}
 		// Every component is provably frozen: jump to the earliest cycle at
@@ -1043,7 +996,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			s.finalProgress(cycle)
 			return s.cancelErr(ctx, err, cycle, effLimit)
 		}
-		target := s.horizon(cycle, accum, strides, maxClock, effLimit)
+		target := s.horizon(cycle, e.slots, maxClock, effLimit)
 		if target > effLimit+1 {
 			target = effLimit + 1
 		}
@@ -1051,20 +1004,10 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 			continue
 		}
 		if s.recorder != nil {
-			s.maybeCertify(cycle, target, stallDelta, thrTick, uniformClocks)
+			s.maybeCertify(cycle, target, e.slots, thrTick, uniformClocks)
 		}
 		delta := target - 1 - cycle // whole iterations elided
-		for i, t := range s.tiles {
-			// Advance the clock-ratio accumulator arithmetically: k is the
-			// number of (frozen) steps tile i would have taken.
-			base := accum[i] / maxClock
-			adv := accum[i] + delta*strides[i]
-			k := adv/maxClock - base
-			accum[i] = adv - k*maxClock
-			if k > 0 && !t.Done() {
-				t.ReplayStalls(stallDelta[i], k)
-			}
-		}
+		e.jump(delta)
 		s.Hier.AddThrottleStalls(thrTick * delta)
 		s.SkippedCycles += delta
 		s.Cycles = target - 1
@@ -1082,7 +1025,7 @@ func (s *System) Run(ctx context.Context, limit int64) error {
 // events (completions, the mispredict launch release) and inbound fabric
 // messages only take effect when the owning tile's clock edge arrives, so
 // they are mapped through nextEdgeCycle.
-func (s *System) horizon(now int64, accum, strides []int64, maxClock, effLimit int64) int64 {
+func (s *System) horizon(now int64, slots []tileSlot, maxClock, effLimit int64) int64 {
 	target := mem.HorizonNone
 	consider := func(idx int, ev int64) {
 		if ev >= mem.HorizonNone {
@@ -1091,7 +1034,7 @@ func (s *System) horizon(now int64, accum, strides []int64, maxClock, effLimit i
 		if ev > effLimit+1 {
 			ev = effLimit + 1 // keep the edge arithmetic far from overflow
 		}
-		u := nextEdgeCycle(now, ev, accum[idx], strides[idx], maxClock)
+		u := nextEdgeCycle(now, ev, slots[idx].accum, slots[idx].stride, maxClock)
 		if u < target {
 			target = u
 		}

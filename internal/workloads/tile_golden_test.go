@@ -160,14 +160,22 @@ func tileGoldenCases(t *testing.T, wrap func(*Workload) *Workload) []goldenCase 
 }
 
 // runGolden builds and runs one case with the chosen skipping mode and
-// step-worker count and returns its compact Result JSON.
+// step-worker count and returns its compact Result JSON. Multi-worker legs
+// pin the engine to sharded stepping, so they test the sharded path on any
+// host instead of whichever mode the engine measures faster.
 func runGolden(t *testing.T, gc goldenCase, noskip bool, workers int) []byte {
 	t.Helper()
 	sys := gc.build(t)
 	sys.DisableCycleSkipping = noskip
 	sys.StepWorkers = workers
+	if workers > 1 {
+		soc.PinShardedForTest(sys)
+	}
 	if err := sys.Run(context.Background(), 0); err != nil {
 		t.Fatalf("run %s (noskip=%v, workers=%d): %v", gc.key, noskip, workers, err)
+	}
+	if workers > 1 && sys.ParallelPhases == 0 {
+		t.Fatalf("run %s (noskip=%v, workers=%d) never stepped sharded", gc.key, noskip, workers)
 	}
 	data, err := json.Marshal(sys.Result())
 	if err != nil {
